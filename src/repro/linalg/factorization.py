@@ -10,7 +10,7 @@ Positive-definite ``G`` (RC/RL/LC circuit classes, paper section 2.2)
 gets a Cholesky factor and ``J = I``; indefinite ``G`` (general RLC MNA)
 gets a Bunch-Kaufman ``L J L^T`` with 1x1/2x2 blocks in ``J``.
 
-Two compiled sparse tiers extend the facade to post-layout scale
+Two compiled sparse tiers cover sparse ``G`` up to post-layout scale
 (10^5-10^6 unknowns, see ``docs/SCALING.md``): a SuperLU symmetric-mode
 ``L D L^T`` (:class:`SuperLUFactorization`, works for definite *and*
 diagonally-pivotable indefinite matrices) and an optional CHOLMOD
@@ -19,9 +19,15 @@ supernodal Cholesky (:class:`CholmodFactorization`, needs the
 right-hand sides so the blocked Lanczos loop does one triangular pass
 per block.
 
-``factor_symmetric`` picks automatically by size and sparsity, honours
-the ``REPRO_FACTORIZATION`` environment override, and reports which
-path it took via ``factor.method`` health events.
+``factor_symmetric(method="auto")`` routes by density: a ``G`` with at
+least ``_DENSE_FILL`` of its entries stored (the PEEC ``G`` is full) goes
+to LAPACK -- Cholesky unless the caller says it is indefinite, then
+Bunch-Kaufman -- and any other sparse ``G`` goes to the compiled sparse
+tier at every size, with dense Bunch-Kaufman as the fallback for
+matrices that need 2x2 pivots.  The from-scratch ``"sparse-cholesky"``
+and ``"ldlt-python"`` stay available by name as reference paths.  The
+``REPRO_FACTORIZATION`` environment variable overrides ``"auto"``, and
+``factor.method`` health events report which path was taken.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.errors import FactorizationError
-from repro.linalg.cholesky import SparseCholesky, dense_cholesky, sparse_cholesky
+from repro.linalg.cholesky import SparseCholesky, sparse_cholesky
 from repro.linalg.ldlt import BlockDiagonal, bunch_kaufman
 
 __all__ = [
@@ -54,9 +60,11 @@ __all__ = [
 #: above this size, dense fallbacks are refused to avoid memory blowups
 _DENSE_LIMIT = 6000
 
-#: above this size, "auto" prefers the compiled sparse tiers (CHOLMOD,
-#: SuperLU) over the from-scratch up-looking Cholesky
-_SCALABLE_LIMIT = 2000
+#: "auto" treats a sparse ``G`` with at least this fraction of its
+#: entries stored as dense: its factor is at least as dense, and LAPACK's
+#: dense kernels then beat SuperLU's sparse ones (random sparse SPD,
+#: n = 100-2000, 1 BLAS thread: dense Cholesky 1.7-6x faster at 0.1)
+_DENSE_FILL = 0.1
 
 #: environment variable overriding the backend picked by ``"auto"``
 _ENV_VAR = "REPRO_FACTORIZATION"
@@ -176,9 +184,44 @@ class CholeskyFactorization(SymmetricFactorization):
 
 
 class DenseCholeskyFactorization(SymmetricFactorization):
-    """``G = L L^T`` with a dense lower factor (small problems)."""
+    """``G = L L^T`` from LAPACK ``potrf`` (dense or small problems).
 
-    def __init__(self, lower: np.ndarray):
+    Pivots below the relative floor of :func:`dense_cholesky` (the
+    from-scratch reference) are refused the same way, so a numerically
+    singular ``G`` raises :class:`FactorizationError` and shift
+    resolution moves to eq. 26.
+    """
+
+    def __init__(self, g_dense: np.ndarray, *, monitor=None):
+        g_dense = np.asarray(g_dense, dtype=float)
+        n = g_dense.shape[0]
+        floor = 1e-12 * float(np.abs(np.diag(g_dense)).max()) if n else 0.0
+        lower, info = scipy.linalg.lapack.dpotrf(g_dense, lower=1, clean=1)
+        pivots = np.diag(lower) ** 2
+        if info == 0:
+            negligible = np.flatnonzero(~(pivots > floor))
+            if negligible.size:
+                info = negligible[0] + 1
+        if info != 0:
+            step = abs(int(info)) - 1
+            if monitor is not None:
+                monitor.record(
+                    "factor.failure", method="dense-cholesky", step=step,
+                    floor=floor,
+                )
+            raise FactorizationError(
+                f"non-positive or negligible pivot at step {step}; matrix "
+                "is not (numerically) positive definite -- use "
+                "method='ldlt' for an indefinite matrix or a nonzero "
+                "expansion shift (paper eq. 26) for a singular one"
+            )
+        if monitor is not None and n:
+            min_pivot, max_pivot = float(pivots.min()), float(pivots.max())
+            monitor.record(
+                "factor.pivots", method="dense-cholesky", size=n,
+                min_pivot=min_pivot, max_pivot=max_pivot, floor=floor,
+                margin=(min_pivot - floor) / max(max_pivot, 1e-300),
+            )
         self._lower = lower
 
     @property
@@ -194,11 +237,14 @@ class DenseCholeskyFactorization(SymmetricFactorization):
         return "dense-cholesky"
 
     def solve_m(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_triangular(self._lower, np.asarray(b), lower=True)
+        return scipy.linalg.solve_triangular(
+            self._lower, np.asarray(b), lower=True, check_finite=False
+        )
 
     def solve_mt(self, b: np.ndarray) -> np.ndarray:
         return scipy.linalg.solve_triangular(
-            self._lower, np.asarray(b), lower=True, trans="T"
+            self._lower, np.asarray(b), lower=True, trans="T",
+            check_finite=False,
         )
 
     def apply_j(self, x: np.ndarray) -> np.ndarray:
@@ -249,13 +295,11 @@ class LDLTDenseFactorization(SymmetricFactorization):
         (paper eq. 26), so surface it as a FactorizationError that the
         shift-resolution logic catches.
         """
-        extremes = [
-            np.abs(np.linalg.eigvalsh(block)) for block in self._j.blocks
-        ]
-        if not extremes:
+        extremes = np.abs(self._j.eigenvalues())
+        if not extremes.size:
             return
-        smallest = min(float(e.min()) for e in extremes)
-        largest = max(float(e.max()) for e in extremes)
+        smallest = float(extremes.min())
+        largest = float(extremes.max())
         ratio = smallest / max(largest, 1e-300)
         if monitor is not None:
             monitor.record(
@@ -297,14 +341,18 @@ class LDLTDenseFactorization(SymmetricFactorization):
         return f"bunch-kaufman-{self._engine}"
 
     def solve_m(self, b: np.ndarray) -> np.ndarray:
-        # M = P^T L: rows of M in original order; M x = b <=> L x = P b
+        # M = P^T L: rows of M in original order; M x = b <=> L x = P b.
+        # L is finite once the pivots passed, so skip the O(N^2) scan
+        # scipy would repeat on every solve
         return scipy.linalg.solve_triangular(
-            self._lower, np.asarray(b)[self._perm], lower=True, unit_diagonal=True
+            self._lower, np.asarray(b)[self._perm], lower=True,
+            unit_diagonal=True, check_finite=False,
         )
 
     def solve_mt(self, b: np.ndarray) -> np.ndarray:
         y = scipy.linalg.solve_triangular(
-            self._lower, np.asarray(b), lower=True, trans="T", unit_diagonal=True
+            self._lower, np.asarray(b), lower=True, trans="T",
+            unit_diagonal=True, check_finite=False,
         )
         return y[self._inverse_perm]
 
@@ -583,21 +631,11 @@ class CholmodFactorization(SymmetricFactorization):
 
 def _blocks_from_dense(d: np.ndarray) -> BlockDiagonal:
     """Extract the 1x1/2x2 block structure from a block-diagonal array."""
-    n = d.shape[0]
-    starts: list[int] = []
-    blocks: list[np.ndarray] = []
-    k = 0
-    while k < n:
-        if k + 1 < n and (d[k + 1, k] != 0.0 or d[k, k + 1] != 0.0):
-            block = d[k : k + 2, k : k + 2]
-            starts.append(k)
-            blocks.append(0.5 * (block + block.T))
-            k += 2
-        else:
-            starts.append(k)
-            blocks.append(np.array([[d[k, k]]]))
-            k += 1
-    return BlockDiagonal(tuple(starts), tuple(blocks), n)
+    below, above = np.diagonal(d, -1), np.diagonal(d, 1)
+    pairs = np.flatnonzero((below != 0.0) | (above != 0.0))
+    return BlockDiagonal(
+        np.diagonal(d).copy(), pairs, 0.5 * (below[pairs] + above[pairs])
+    )
 
 
 def factor_symmetric(
@@ -614,17 +652,20 @@ def factor_symmetric(
     g:
         Symmetric matrix (sparse or dense).
     method:
-        ``"auto"`` (pick by size/sparsity, fall back to Bunch-Kaufman),
-        ``"sparse-cholesky"`` (from-scratch up-looking),
-        ``"dense-cholesky"``, ``"ldlt"`` (LAPACK), ``"ldlt-python"``
+        ``"auto"`` (pick by density, see the module docstring; fall back
+        to Bunch-Kaufman), ``"sparse-cholesky"`` (from-scratch
+        up-looking), ``"dense-cholesky"`` (LAPACK ``potrf``), ``"ldlt"``
+        (LAPACK Bunch-Kaufman), ``"ldlt-python"``
         (from-scratch Bunch-Kaufman), ``"superlu"`` (compiled sparse
         ``L D L^T``, definite or diagonally-pivotable indefinite), or
         ``"cholmod"`` (supernodal Cholesky; needs the ``repro[cholmod]``
         extra).  ``"auto"`` honours the ``REPRO_FACTORIZATION``
         environment variable (see :func:`resolve_factor_method`).
     assume_definite:
-        Hint used by ``"auto"``: ``False`` skips the Cholesky attempt
-        (saves time on matrices known to be indefinite).
+        Hint used by ``"auto"``: ``False`` skips the Cholesky attempts
+        (saves time on matrices known to be indefinite); ``True`` makes
+        a failed first attempt final instead of falling back to
+        Bunch-Kaufman.
     monitor:
         Optional :class:`repro.robustness.health.HealthMonitor`; pivot
         statistics, failed attempts, and the method finally chosen are
@@ -679,9 +720,7 @@ def factor_symmetric(
             )
         )
     if method == "dense-cholesky":
-        return done(
-            DenseCholeskyFactorization(dense_cholesky(to_dense(), monitor=monitor))
-        )
+        return done(DenseCholeskyFactorization(to_dense(), monitor=monitor))
     if method == "ldlt":
         return done(
             LDLTDenseFactorization(to_dense(), engine="scipy", monitor=monitor)
@@ -705,53 +744,31 @@ def factor_symmetric(
             "methods: " + ", ".join(FACTORIZATION_METHODS)
         )
 
-    scalable = is_sparse and n > _SCALABLE_LIMIT
-    if assume_definite is not False:
-        if scalable:
-            # compiled sparse tier: supernodal CHOLMOD when installed,
-            # then SuperLU LDL^T (which also covers the diagonally
-            # pivotable indefinite case, so reaching the dense fallback
-            # below means the matrix genuinely needs 2x2 pivots)
-            if cholmod_available():  # pragma: no cover - optional dep
-                try:
-                    return done(CholmodFactorization(g, monitor=monitor))
-                except FactorizationError:
-                    if assume_definite is True:
-                        raise
-            try:
-                return done(SuperLUFactorization(g, monitor=monitor))
-            except FactorizationError as exc:
-                if assume_definite is True:
-                    raise
-                if n > _DENSE_LIMIT:
-                    raise FactorizationError(
-                        f"sparse LDL^T failed for size {n} ({exc}) and "
-                        "the matrix is too large for the dense fallback; "
-                        "use a different expansion shift or "
-                        + sparse_alternatives()
-                    ) from exc
-        else:
-            try:
-                if is_sparse and n > 200:
-                    return done(
-                        CholeskyFactorization(
-                            sparse_cholesky(_as_csc(g), monitor=monitor)
-                        )
-                    )
+    # "auto": a dense-enough G goes to LAPACK, any other sparse G to the
+    # compiled sparse tier.  A definite-only Cholesky (J = I) comes first
+    # unless G is known indefinite; dense Bunch-Kaufman catches whatever
+    # needs 2x2 pivots.
+    dense = not is_sparse or (
+        n <= _DENSE_LIMIT and g.nnz >= _DENSE_FILL * n * n
+    )
+    if assume_definite is not False and (dense or cholmod_available()):
+        try:
+            if dense:
                 return done(
-                    DenseCholeskyFactorization(
-                        dense_cholesky(to_dense(), monitor=monitor)
-                    )
+                    DenseCholeskyFactorization(to_dense(), monitor=monitor)
                 )
-            except FactorizationError:
-                if assume_definite is True:
-                    raise
-    elif scalable:
-        # known-indefinite but sparse and large: SuperLU's diagonal
-        # LDL^T is the only scalable option before the dense fallback
+            return done(  # pragma: no cover - optional dep
+                CholmodFactorization(g, monitor=monitor)
+            )
+        except FactorizationError:
+            if assume_definite is True:
+                raise
+    if not dense:
         try:
             return done(SuperLUFactorization(g, monitor=monitor))
         except FactorizationError as exc:
+            if assume_definite is True:
+                raise
             if n > _DENSE_LIMIT:
                 raise FactorizationError(
                     f"sparse LDL^T failed for size {n} ({exc}) and the "

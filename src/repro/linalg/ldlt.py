@@ -24,35 +24,45 @@ __all__ = ["BlockDiagonal", "LDLTFactorization", "bunch_kaufman"]
 _ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
 
 
-@dataclass(frozen=True)
 class BlockDiagonal:
     """A block-diagonal matrix with 1x1 and 2x2 symmetric blocks.
 
-    ``starts[k]`` is the first index of block ``k``; ``blocks[k]`` is a
-    ``(1, 1)`` or ``(2, 2)`` ndarray.  This is the matrix ``J`` of the
-    paper's factorization ``G = M J M^T``.
+    This is the matrix ``J`` of the paper's factorization
+    ``G = M J M^T``.  It is stored as arrays so that products and solves
+    are a few NumPy operations instead of a loop over the blocks:
+
+    * ``diag[i]`` is the diagonal entry ``J[i, i]`` -- the pivot of a
+      1x1 block, or the ``a``/``d`` entry of a 2x2 block
+      ``[[a, b], [b, d]]``;
+    * ``pairs[k]`` is the first index of the ``k``-th 2x2 block;
+    * ``off[k]`` is its off-diagonal entry ``b``.
     """
 
-    starts: tuple[int, ...]
-    blocks: tuple[np.ndarray, ...]
-    size: int
+    def __init__(self, diag, pairs=(), off=()):
+        self.diag = np.asarray(diag, dtype=float)
+        self.pairs = np.asarray(pairs, dtype=np.intp)
+        self.off = np.asarray(off, dtype=float)
+        # the 2x2 blocks as a (k, 2, 2) stack over their (k, 2) row pairs
+        self._pair_rows = np.stack([self.pairs, self.pairs + 1], axis=1)
+        self._pair_blocks = self.diag[self._pair_rows][:, :, None] * np.eye(2)
+        self._pair_blocks[:, 0, 1] = self._pair_blocks[:, 1, 0] = self.off
 
     @classmethod
     def identity(cls, n: int) -> "BlockDiagonal":
-        blocks = tuple(np.ones((1, 1)) for _ in range(n))
-        return cls(tuple(range(n)), blocks, n)
+        return cls(np.ones(n))
+
+    @property
+    def size(self) -> int:
+        return self.diag.shape[0]
 
     @property
     def is_identity(self) -> bool:
-        return all(
-            b.shape == (1, 1) and b[0, 0] == 1.0 for b in self.blocks
-        )
+        return self.pairs.size == 0 and bool(np.all(self.diag == 1.0))
 
     def to_array(self) -> np.ndarray:
-        out = np.zeros((self.size, self.size))
-        for start, block in zip(self.starts, self.blocks):
-            w = block.shape[0]
-            out[start : start + w, start : start + w] = block
+        out = np.diag(self.diag)
+        out[self.pairs, self.pairs + 1] = self.off
+        out[self.pairs + 1, self.pairs] = self.off
         return out
 
     def to_sparse(self):
@@ -60,45 +70,63 @@ class BlockDiagonal:
 
         return sp.csr_matrix(self.to_array())
 
+    @staticmethod
+    def _rows(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``values`` broadcast along the rows of a vector or matrix ``x``."""
+        return values if x.ndim == 1 else values[:, None]
+
     def matmul(self, x: np.ndarray) -> np.ndarray:
         """Compute ``J @ x`` for a vector or matrix ``x``."""
         x = np.asarray(x)
-        out = np.empty_like(x, dtype=np.result_type(x, float))
-        for start, block in zip(self.starts, self.blocks):
-            w = block.shape[0]
-            out[start : start + w] = block @ x[start : start + w]
+        out = self._rows(self.diag, x) * x
+        if self.pairs.size:
+            # one small matmul per 2x2 block, as a loop over the blocks
+            # would do: BLAS may fuse its multiply-adds, so the
+            # elementwise a*x0 + b*x1 could differ in the last bit
+            rows = x[self._pair_rows]
+            products = self._pair_blocks @ rows.reshape(rows.shape[:2] + (-1,))
+            out[self._pair_rows] = products.reshape(rows.shape)
         return out
 
     def solve(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``J^{-1} @ x`` block by block."""
+        """Compute ``J^{-1} @ x`` for a vector or matrix ``x``."""
         x = np.asarray(x)
-        out = np.empty_like(x, dtype=np.result_type(x, float))
-        for start, block in zip(self.starts, self.blocks):
-            w = block.shape[0]
-            if w == 1:
-                pivot = block[0, 0]
-                if pivot == 0.0:
-                    raise FactorizationError("singular 1x1 block in J")
-                out[start] = x[start] / pivot
-            else:
-                a, b, d = block[0, 0], block[0, 1], block[1, 1]
-                det = a * d - b * b
-                if det == 0.0:
-                    raise FactorizationError("singular 2x2 block in J")
-                x0, x1 = x[start], x[start + 1]
-                out[start] = (d * x0 - b * x1) / det
-                out[start + 1] = (-b * x0 + a * x1) / det
+        top, bottom = self.pairs, self.pairs + 1
+        pivots = self.diag.copy()
+        pivots[top] = pivots[bottom] = 1.0  # rows of 2x2 blocks: below
+        if np.any(pivots == 0.0):
+            raise FactorizationError(
+                "singular 1x1 block in J; use a nonzero expansion shift"
+            )
+        a, b, d = self.diag[top], self.off, self.diag[bottom]
+        det = a * d - b * b
+        if np.any(det == 0.0):
+            raise FactorizationError(
+                "singular 2x2 block in J; use a nonzero expansion shift"
+            )
+        out = x / self._rows(pivots, x)
+        if top.size:
+            x0, x1 = x[top], x[bottom]
+            a, b, d, det = (self._rows(v, x) for v in (a, b, d, det))
+            out[top] = (d * x0 - b * x1) / det
+            out[bottom] = (-b * x0 + a * x1) / det
         return out
+
+    def eigenvalues(self) -> np.ndarray:
+        """All ``size`` eigenvalues of ``J`` (unordered)."""
+        eigs = self.diag.copy()
+        if self.pairs.size:
+            eigs[self._pair_rows] = np.linalg.eigvalsh(self._pair_blocks)
+        return eigs
 
     def inertia(self) -> tuple[int, int, int]:
         """(positive, negative, zero) eigenvalue counts of ``J``."""
-        pos = neg = zero = 0
-        for block in self.blocks:
-            eigs = np.linalg.eigvalsh(block)
-            pos += int((eigs > 0).sum())
-            neg += int((eigs < 0).sum())
-            zero += int((eigs == 0).sum())
-        return pos, neg, zero
+        eigs = self.eigenvalues()
+        return (
+            int((eigs > 0).sum()),
+            int((eigs < 0).sum()),
+            int((eigs == 0).sum()),
+        )
 
 
 @dataclass(frozen=True)
@@ -144,8 +172,9 @@ def bunch_kaufman(a: np.ndarray, *, monitor=None) -> LDLTFactorization:
 
     perm = np.arange(n, dtype=np.intp)
     lower = np.eye(n)
-    starts: list[int] = []
-    blocks: list[np.ndarray] = []
+    diag = np.zeros(n)
+    pairs: list[int] = []
+    off: list[float] = []
 
     def swap(i: int, j: int, computed: int) -> None:
         """Symmetric row/col swap; only the first ``computed`` columns of
@@ -190,10 +219,7 @@ def bunch_kaufman(a: np.ndarray, *, monitor=None) -> LDLTFactorization:
             if d == 0.0:
                 if np.abs(a[k:, k:]).max() == 0.0:
                     # trailing block is exactly zero: factor is done with
-                    # zero blocks (G singular); record zero pivots.
-                    for kk in range(k, n):
-                        starts.append(kk)
-                        blocks.append(np.zeros((1, 1)))
+                    # zero 1x1 blocks (G singular), already zero in ``diag``
                     break
                 if monitor is not None:
                     monitor.record(
@@ -209,8 +235,7 @@ def bunch_kaufman(a: np.ndarray, *, monitor=None) -> LDLTFactorization:
                 lower[k + 1 :, k] = column
                 a[k + 1 :, k] = 0.0
                 a[k, k + 1 :] = 0.0
-            starts.append(k)
-            blocks.append(np.array([[d]]))
+            diag[k] = d
             k += 1
         else:
             block = a[k : k + 2, k : k + 2].copy()
@@ -231,22 +256,22 @@ def bunch_kaufman(a: np.ndarray, *, monitor=None) -> LDLTFactorization:
                 lower[k + 2 :, k : k + 2] = linv
                 a[k + 2 :, k : k + 2] = 0.0
                 a[k : k + 2, k + 2 :] = 0.0
-            starts.append(k)
-            blocks.append(0.5 * (block + block.T))
+            diag[k], diag[k + 1] = block[0, 0], block[1, 1]
+            pairs.append(k)
+            off.append(0.5 * (block[0, 1] + block[1, 0]))
             k += 2
 
-    j = BlockDiagonal(tuple(starts), tuple(blocks), n)
-    if monitor is not None and blocks:
-        eigs = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
-        abs_eigs = np.abs(eigs)
+    j = BlockDiagonal(diag, pairs, off)
+    if monitor is not None and n:
+        abs_eigs = np.abs(j.eigenvalues())
         largest = float(abs_eigs.max())
         smallest = float(abs_eigs.min())
         monitor.record(
             "factor.pivots",
             method="bunch-kaufman-python",
             size=n,
-            one_by_one=sum(1 for b in blocks if b.shape == (1, 1)),
-            two_by_two=sum(1 for b in blocks if b.shape == (2, 2)),
+            one_by_one=n - 2 * len(pairs),
+            two_by_two=len(pairs),
             min_pivot=smallest,
             max_pivot=largest,
             margin=smallest / max(largest, 1e-300),

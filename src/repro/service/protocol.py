@@ -40,6 +40,7 @@ Error codes (``docs/SERVICE.md`` documents the failure semantics):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
@@ -102,8 +103,8 @@ class Request:
                 deadline_ms = float(deadline_ms)
             except (TypeError, ValueError):
                 raise ProtocolError("'deadline_ms' must be a number") from None
-            if deadline_ms <= 0:
-                raise ProtocolError("'deadline_ms' must be > 0")
+            if not 0 < deadline_ms < math.inf:
+                raise ProtocolError("'deadline_ms' must be finite and > 0")
         return cls(
             id=str(request_id), op=op, params=params, deadline_ms=deadline_ms
         )

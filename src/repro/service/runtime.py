@@ -484,8 +484,8 @@ class MacromodelService:
             w_lo, w_hi = float(band[0]), float(band[1])
         except (TypeError, ValueError):
             raise ProtocolError("'band' entries must be numbers") from None
-        if not 0 < w_lo < w_hi:
-            raise ProtocolError("'band' needs 0 < w_lo < w_hi")
+        if not (0 < w_lo < w_hi and np.isfinite(w_hi)):
+            raise ProtocolError("'band' needs finite 0 < w_lo < w_hi")
         try:
             points = int(params.get("points", 200))
         except (TypeError, ValueError):

@@ -111,9 +111,36 @@ class TestAuto:
         assert "bunch-kaufman" in fact.method
 
     def test_large_sparse_spd_uses_sparse_path(self):
+        # a sparse pattern goes to the compiled sparse tier at every
+        # size; the definite case keeps J = I
         g = repro.assemble_mna(repro.rc_mesh(16, 16)).G + 1e-3 * sp.eye(256)
         fact = factor_symmetric(g.tocsc())
-        assert fact.method == "sparse-cholesky"
+        assert fact.method in ("superlu", "cholmod")
+        assert fact.j_is_identity
+        small = grid_laplacian(6)  # 36 unknowns, density 0.13 -> dense
+        assert factor_symmetric(small).method == "dense-cholesky"
+        ladder = grid_laplacian(12)  # 144 unknowns, density 0.03
+        assert factor_symmetric(ladder).method in ("superlu", "cholmod")
+
+    def test_dense_pattern_sparse_matrix_uses_lapack(self):
+        # PEEC-like: stored sparse but fully populated, above the old
+        # 200-unknown cut -- LAPACK Cholesky, or Bunch-Kaufman when the
+        # caller says the matrix is indefinite
+        g = spd_sparse(240, seed=5)
+        assert g.nnz == 240 * 240
+        fact = factor_symmetric(g)
+        assert fact.method == "dense-cholesky"
+        assert fact.j_is_identity
+        fact = factor_symmetric(g, assume_definite=False)
+        assert fact.method == "bunch-kaufman-scipy"
+
+    def test_method_event_names_choice(self):
+        monitor = HealthMonitor()
+        fact = factor_symmetric(grid_laplacian(20), monitor=monitor)
+        events = monitor.by_category("factor.method")
+        assert [e.data["method"] for e in events] == [fact.method]
+        assert events[0].data["size"] == 400
+        assert events[0].data["j_identity"] is True
 
     def test_singular_matrix_detected(self):
         # chain Laplacian: PSD singular -> both paths must refuse

@@ -45,6 +45,14 @@ class TestRequestValidation:
         with pytest.raises(ProtocolError, match=match):
             Request.from_dict(payload)
 
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf"), "NaN"])
+    def test_rejects_non_finite_deadline(self, deadline):
+        # NaN fails every comparison, so "<= 0" alone let it through
+        with pytest.raises(ProtocolError, match="finite"):
+            Request.from_dict(
+                {"id": "x", "op": "stats", "deadline_ms": deadline}
+            )
+
 
 class TestResponses:
     def test_ok_shape(self):

@@ -128,6 +128,22 @@ class TestValidation:
         assert not resp["ok"]
         assert resp["error"]["code"] == code
 
+    @pytest.mark.parametrize("band", [
+        [1e6, float("inf")], [float("nan"), 1e9], [1e6, float("nan")],
+    ])
+    def test_non_finite_band_is_bad_request(self, band):
+        svc = make_service()
+        resp = run(svc.handle(sweep_request(band=band)))
+        assert not resp["ok"]
+        assert resp["error"]["code"] == "bad_request"
+        assert "'band' needs finite" in resp["error"]["message"]
+
+    def test_nan_deadline_is_bad_request(self):
+        svc = make_service()
+        resp = run(svc.handle({**sweep_request(), "deadline_ms": float("nan")}))
+        assert not resp["ok"]
+        assert resp["error"]["code"] == "bad_request"
+
     def test_malformed_payload_keeps_id_when_possible(self):
         svc = make_service()
         resp = run(svc.handle({"id": "keep-me", "op": None}))
