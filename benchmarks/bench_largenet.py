@@ -2,8 +2,7 @@
 
 Sweeps RC power-grids built by :func:`repro.large_rc_grid` and
 measures, per factorization backend (the seed from-scratch
-``sparse-cholesky`` vs the scalable ``superlu`` tier, plus ``cholmod``
-when scikit-sparse is installed):
+``sparse-cholesky`` vs the scalable ``superlu`` tier):
 
 * wall time of the symmetric ``G = M J M^T`` factorization,
 * triangular-solve throughput (``solve`` calls per second),
@@ -37,7 +36,7 @@ import numpy as np
 
 import repro
 from repro.core.sympvl import default_shift
-from repro.linalg.factorization import cholmod_available, factor_symmetric
+from repro.linalg.factorization import factor_symmetric
 
 from _util import finish, standard_main
 
@@ -141,8 +140,6 @@ def run_scale(label: str, rows: int, cols: int, order: int) -> dict:
         print(f"  [{label}] seed sparse-cholesky skipped above "
               f"{SEED_LIMIT} nodes (slow side of the comparison)")
     backends.append("superlu")
-    if cholmod_available():
-        backends.append("cholmod")
 
     results = {}
     for method in backends:
@@ -209,7 +206,6 @@ def run(quick: bool, json_path: pathlib.Path) -> int:
             "speedup": SPEEDUP_THRESHOLD, "accuracy": ACCURACY_THRESHOLD,
         },
         "gate_scale": gate["label"],
-        "cholmod_available": cholmod_available(),
         "scales": [
             {k: v for k, v in r.items()} for r in records
         ],

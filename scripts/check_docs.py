@@ -1,6 +1,6 @@
 """Docs lint: catch documentation rot before it merges.
 
-Two checks over ``README.md`` and ``docs/*.md``:
+Three checks over ``README.md`` and ``docs/*.md``:
 
 1. **Intra-repo markdown links resolve.**  Every ``[text](target)``
    whose target is a relative path (no scheme, no ``#``-only anchor)
@@ -13,6 +13,12 @@ Two checks over ``README.md`` and ``docs/*.md``:
    :func:`repro.cli.build_parser` -- so docs cannot advertise commands
    the CLI no longer ships (prose mentions of "the repro package" are
    not scanned).
+3. **Documented CLI flags exist.**  Every ``--flag`` that follows such a
+   mention on the same command line (up to a comment, pipe, ``;`` or
+   redirect; backslash continuations join lines) must be an option the
+   subcommand's parser accepts -- nested subcommands such as
+   ``repro touchstone export`` included -- so a removed flag cannot
+   linger in the docs.
 
 Exit status is the number of problems found (0 = clean), so CI fails
 the build on any rot.  ``--root`` points at an alternate repo root
@@ -40,7 +46,12 @@ _SPAN = re.compile(r"`[^`\n]+`")
 #: don't match across lines) and not a `from repro import ...`
 _SUBCOMMAND = re.compile(
     r"(?<!from )(?:python[ \t]+-m[ \t]+)?\brepro[ \t]+([a-z][a-z0-9-]*)"
+    r"(?=([^\n]*))"
 )
+#: where a documented command line ends (comment, pipe, `;`, redirect,
+#: `&&`, the closing backtick of a span, or the next `repro` mention)
+_COMMAND_END = re.compile(r"[#|;>`]|&&|\brepro[ \t]")
+_FLAG = re.compile(r"(?<![\w-])--([a-z][a-z0-9-]*)")
 
 
 def _doc_files(root: pathlib.Path) -> list[pathlib.Path]:
@@ -73,8 +84,20 @@ def check_links(root: pathlib.Path) -> list[str]:
     return problems
 
 
-def cli_subcommands(root: pathlib.Path) -> set[str]:
-    """The real subcommand set, read from cli.py.
+def _parser_node(parser) -> tuple[set[str], dict]:
+    """``(option strings, {subcommand: node})`` of an argparse parser."""
+    options, children = set(), {}
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            children = {
+                name: _parser_node(sub) for name, sub in action.choices.items()
+            }
+    return options, children
+
+
+def cli_tree(root: pathlib.Path) -> tuple[set[str], dict] | None:
+    """The real CLI as a parser tree, read from cli.py.
 
     Prefers the linted root's own ``src`` tree; a fixture root without
     one (the self-test) falls back to the repo this script ships with,
@@ -90,38 +113,63 @@ def cli_subcommands(root: pathlib.Path) -> set[str]:
         try:
             from repro.cli import build_parser
         except ImportError:
-            return set()
-
-        parser = build_parser()
-        for action in parser._actions:
-            if hasattr(action, "choices") and action.choices:
-                return set(action.choices)
-        return set()
+            return None
+        return _parser_node(build_parser())
     finally:
         for path in inserted:
             sys.path.remove(path)
 
 
-def check_subcommands(root: pathlib.Path, known: set[str]) -> list[str]:
-    if not known:  # no CLI in this tree (fixture runs): nothing to check
+def cli_subcommands(root: pathlib.Path) -> set[str]:
+    """The real subcommand set (empty when no CLI can be loaded)."""
+    tree = cli_tree(root)
+    return set(tree[1]) if tree else set()
+
+
+def _code_text(text: str) -> str:
+    """Fenced blocks (continuations joined) and inline spans, one per line."""
+    fences = [m.group(0) for m in _FENCE.finditer(text)]
+    spans = [m.group(0) for m in _SPAN.finditer(_FENCE.sub("", text))]
+    return "\n".join(fences + spans).replace("\\\n", " ")
+
+
+def _unknown_flags(node, sub: str, rest: str) -> tuple[str, list[str]]:
+    """Walk ``rest`` down nested subcommands from ``sub``; return the
+    command path and the flags none of its parsers accept."""
+    rest = _COMMAND_END.split(rest, 1)[0]
+    command = [sub]
+    options, children = node
+    for word in rest.split():
+        if word in children:
+            command.append(word)
+            child_options, children = children[word]
+            options = options | child_options
+    unknown = [
+        flag for flag in _FLAG.findall(rest) if f"--{flag}" not in options
+    ]
+    return " ".join(command), unknown
+
+
+def check_subcommands(root: pathlib.Path, tree) -> list[str]:
+    if not tree:  # no CLI in this tree (fixture runs): nothing to check
         return []
+    known = tree[1]
     problems = []
     for path in _doc_files(root):
-        text = path.read_text()
-        code_text = "\n".join(
-            m.group(0) for m in _FENCE.finditer(text)
-        )
-        stripped = _FENCE.sub("", text)
-        code_text += "\n" + "\n".join(
-            m.group(0) for m in _SPAN.finditer(stripped)
-        )
-        for match in _SUBCOMMAND.finditer(code_text):
-            sub = match.group(1)
+        name = path.relative_to(root)
+        for match in _SUBCOMMAND.finditer(_code_text(path.read_text())):
+            sub, rest = match.group(1), match.group(2)
             if sub not in known:
                 problems.append(
-                    f"{path.relative_to(root)}: unknown subcommand "
-                    f"'repro {sub}' (cli.py has: {', '.join(sorted(known))})"
+                    f"{name}: unknown subcommand 'repro {sub}' "
+                    f"(cli.py has: {', '.join(sorted(known))})"
                 )
+                continue
+            command, unknown = _unknown_flags(known[sub], sub, rest)
+            problems.extend(
+                f"{name}: 'repro {command}' has no option '--{flag}'"
+                for flag in unknown
+            )
     return problems
 
 
@@ -136,7 +184,7 @@ def main(argv=None) -> int:
     root = args.root.resolve()
 
     problems = check_links(root)
-    problems += check_subcommands(root, cli_subcommands(root))
+    problems += check_subcommands(root, cli_tree(root))
     for problem in problems:
         print(f"docs-lint: {problem}", file=sys.stderr)
     if not problems:

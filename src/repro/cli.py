@@ -82,7 +82,6 @@ import sys
 import numpy as np
 
 from repro.analysis import Table
-from repro.backends import BACKEND_NAMES, DTYPE_NAMES
 from repro.circuits import assemble_mna, parse_netlist, write_netlist
 from repro.circuits.validate import validate_netlist
 from repro.core import certify, sympvl
@@ -186,15 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cache-dir", metavar="DIR",
                        help="persistent reduction cache directory "
                        "(default: in-memory only)")
-    sweep.add_argument("--backend", choices=list(BACKEND_NAMES),
-                       default=None,
-                       help="array backend for compiled sweeps "
-                       "(default: REPRO_BACKEND env, then numpy)")
-    sweep.add_argument("--dtype", choices=list(DTYPE_NAMES), default=None,
-                       help="evaluation precision; float32 is "
-                       "probe-verified against float64 and falls back "
-                       "on mismatch (default: REPRO_DTYPE env, then "
-                       "float64)")
     sweep.add_argument("--stats-json", metavar="PATH",
                        help="write engine session metrics as JSON")
     sweep.add_argument(
@@ -247,13 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="requests per batch before an early flush "
                        "(default 16)")
-    serve.add_argument("--backend", choices=list(BACKEND_NAMES),
-                       default=None,
-                       help="array backend for compiled sweeps "
-                       "(default: REPRO_BACKEND env, then numpy)")
-    serve.add_argument("--dtype", choices=list(DTYPE_NAMES), default=None,
-                       help="evaluation precision for compiled sweeps "
-                       "(default: REPRO_DTYPE env, then float64)")
     serve.add_argument("--max-pending", type=int, default=64, metavar="N",
                        help="admission queue bound; beyond it requests "
                        "are shed with 'overloaded' (default 64)")
@@ -545,13 +528,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             persistent=False if args.no_pool else None,
             idle_timeout=args.pool_idle_timeout,
         )
-    engine = Engine(
-        cache_dir=args.cache_dir, workers=args.workers,
-        backend=args.backend, dtype=args.dtype,
-    )
-    if args.backend or args.dtype:
-        stats = engine.stats()
-        print(f"backend: {stats['backend']} (dtype {stats['dtype']})")
+    engine = Engine(cache_dir=args.cache_dir, workers=args.workers)
     reduce_options = {}
     if args.engine in ("sympvl", "sypvl") and args.factorization != "auto":
         reduce_options["factor_method"] = args.factorization
@@ -641,8 +618,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_max_bytes=args.cache_max_bytes,
             cache_ttl=args.cache_ttl,
             workers=args.workers,
-            backend=args.backend,
-            dtype=args.dtype,
             retry=dataclasses.replace(RetryConfig(), attempts=args.retries),
             batch_window_ms=args.batch_window_ms,
             batch_max_size=args.batch_max_size,

@@ -43,7 +43,6 @@ from repro.engine.sweep import (
     parallel_ac_kernel,
     parallel_ac_sweep,
     resolve_workers,
-    verify_precision,
 )
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "parallel_ac_kernel",
     "parallel_ac_sweep",
     "resolve_workers",
-    "verify_precision",
     "PoolConfig",
     "SweepPool",
     "configure_pool",

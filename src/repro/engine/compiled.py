@@ -26,16 +26,6 @@ fall back to per-point direct solves instead of returning a silently
 inaccurate model.  Every fallback is recorded as an
 ``engine.compile`` event on the supplied
 :class:`~repro.robustness.health.HealthMonitor`.
-
-Evaluation is *backend/dtype-generic*: :meth:`CompiledModel.kernel`
-and :meth:`CompiledModel.impedance` accept an
-:class:`~repro.backends.ArrayBackend` handle and a
-:class:`~repro.backends.DtypePolicy`, moving the broadcast contraction
-onto CuPy/torch arrays (and optionally down to ``complex64``) while
-returning NumPy output.  The default (no backend, no dtype) path is
-the original float64 NumPy code, bit for bit; reduced-precision sweeps
-are probe-gated by :func:`repro.engine.sweep.verify_precision` before
-being served (see ``docs/BACKENDS.md``).
 """
 
 from __future__ import annotations
@@ -115,9 +105,6 @@ class CompiledModel:
     source: object = None
     fallback_reason: str | None = None
     metadata: dict = field(default_factory=dict)
-    #: per-(backend, dtype) device copies of poles/residues, filled
-    #: lazily on first evaluation through that pair
-    _device_cache: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     # construction
@@ -453,53 +440,16 @@ class CompiledModel:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def _device_arrays(self, backend, policy):
-        """Poles and flattened residues on ``backend`` at ``policy``
-        precision, cached per (backend, dtype) pair."""
-        key = (backend.name, policy.name)
-        cached = self._device_cache.get(key)
-        if cached is None:
-            p = self.num_ports
-            cached = (
-                backend.asarray(self.poles, dtype=policy.complex),
-                backend.asarray(
-                    self.residues.reshape(self.poles.size, p * p),
-                    dtype=policy.complex,
-                ),
-            )
-            self._device_cache[key] = cached
-        return cached
-
-    def kernel(
-        self,
-        sigma: complex | np.ndarray,
-        *,
-        backend=None,
-        dtype=None,
-    ) -> np.ndarray:
+    def kernel(self, sigma: complex | np.ndarray) -> np.ndarray:
         """``H_n(sigma)`` as a broadcast partial-fraction sum.
 
-        Returns ``p x p`` for scalar input, ``(m, p, p)`` for a batch
-        (always a NumPy array, whatever the backend).  ``backend`` is
-        an :class:`~repro.backends.ArrayBackend` (or name) and
-        ``dtype`` a :class:`~repro.backends.DtypePolicy` (or name);
-        both default to the reference float64 NumPy path, which is the
-        pre-abstraction code bit for bit.
+        Returns ``p x p`` for scalar input, ``(m, p, p)`` for a batch.
         """
         scalar = np.isscalar(sigma) or np.asarray(sigma).ndim == 0
         sigma_arr = np.atleast_1d(np.asarray(sigma)).ravel()
-        generic = backend is not None or dtype is not None
-        if generic:
-            from repro.backends import get_backend, resolve_dtype
-
-            xp = get_backend(backend)
-            policy = resolve_dtype(dtype)
-            generic = xp.name != "numpy" or not policy.is_default
         if self.mode == "direct":
             out = _direct_kernel(self.source, sigma_arr)
-            if generic and not policy.is_default:
-                out = out.astype(policy.complex)
-        elif not generic:
+        else:
             u = sigma_arr.astype(complex) - self.sigma0
             # (m, n) denominators; poles of the approximant land where
             # 1 + u lambda = 0, evaluation elsewhere is regular
@@ -509,44 +459,18 @@ class CompiledModel:
             out = (weights @ flat).reshape(sigma_arr.size, p, p)
             if self.direct_term is not None:
                 out = out + self.direct_term
-        else:
-            poles, flat = self._device_arrays(xp, policy)
-            u = xp.asarray(
-                sigma_arr.astype(complex) - self.sigma0,
-                dtype=policy.complex,
-            )
-            weights = 1.0 / (1.0 + u[:, None] * poles[None, :])
-            p = self.num_ports
-            out = xp.to_numpy(xp.matmul(weights, flat)).reshape(
-                sigma_arr.size, p, p
-            )
-            if self.direct_term is not None:
-                out = out + np.asarray(self.direct_term, dtype=out.dtype)
         return out[0] if scalar else out
 
-    def impedance(
-        self,
-        s: complex | np.ndarray,
-        *,
-        backend=None,
-        dtype=None,
-    ) -> np.ndarray:
+    def impedance(self, s: complex | np.ndarray) -> np.ndarray:
         """Physical ``Z_n(s)`` through the :class:`TransferMap` (LC
         ``s**2`` substitution and prefactor), drop-in comparable with
-        :func:`repro.simulation.ac.ac_sweep`.  ``backend`` / ``dtype``
-        route the kernel contraction as in :meth:`kernel`."""
+        :func:`repro.simulation.ac.ac_sweep`."""
         scalar = np.isscalar(s) or np.asarray(s).ndim == 0
         s_arr = np.atleast_1d(np.asarray(s)).ravel()
-        kernel = self.kernel(
-            self.transfer.sigma(s_arr), backend=backend, dtype=dtype
-        )
+        kernel = self.kernel(self.transfer.sigma(s_arr))
         pref = np.atleast_1d(np.asarray(self.transfer.prefactor(s_arr)))
         if pref.size == 1:
             pref = np.full(s_arr.size, pref.ravel()[0])
-        if pref.dtype != kernel.dtype and kernel.dtype == np.complex64:
-            # keep the reduced-precision serving dtype through the
-            # prefactor product instead of silently promoting back
-            pref = pref.astype(np.complex64)
         out = kernel * pref[:, None, None]
         return out[0] if scalar else out
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backends import get_backend, resolve_dtype
 from repro.engine.cache import ReductionCache, fitting_key, reduction_key
 from repro.engine.compiled import CompiledModel
 from repro.engine.sweep import (
@@ -34,7 +33,6 @@ from repro.engine.sweep import (
     compiled_sweep,
     parallel_ac_sweep,
     resolve_workers,
-    verify_precision,
 )
 from repro.errors import ReductionError
 from repro.simulation.results import FrequencyResponse
@@ -57,8 +55,6 @@ class EngineStats:
     solves_avoided: int = 0
     sweeps: int = 0
     transients: int = 0
-    precision_checks: int = 0
-    precision_rejections: int = 0
     wall: dict = field(default_factory=lambda: {
         "reduce": 0.0, "fit": 0.0, "compile": 0.0, "sweep": 0.0,
         "transient": 0.0,
@@ -75,8 +71,6 @@ class EngineStats:
             "solves_avoided": self.solves_avoided,
             "sweeps": self.sweeps,
             "transients": self.transients,
-            "precision_checks": self.precision_checks,
-            "precision_rejections": self.precision_rejections,
             "wall_seconds": {k: round(v, 6) for k, v in self.wall.items()},
         }
 
@@ -97,20 +91,8 @@ class Engine:
         ``REPRO_WORKERS``, then serial).
     monitor:
         A :class:`~repro.robustness.health.HealthMonitor`; compilation
-        fallbacks, cache activity, and precision downgrades are
-        recorded as ``engine.*`` events.
-    backend:
-        Array backend for compiled sweeps: a name from
-        :data:`repro.backends.BACKEND_NAMES` or an
-        :class:`~repro.backends.ArrayBackend` instance (``None``
-        defers to ``REPRO_BACKEND``, then NumPy).  Resolution happens
-        here, so an unavailable backend fails fast at construction.
-    dtype:
-        Default evaluation precision (``"float64"`` / ``"float32"`` or
-        a :class:`~repro.backends.DtypePolicy`; ``None`` defers to
-        ``REPRO_DTYPE``, then float64).  ``float32`` sweeps are
-        probe-verified against float64 and fall back on mismatch.
-        Non-default backend/dtype are folded into every cache key.
+        fallbacks and cache activity are recorded as ``engine.*``
+        events.
     version:
         Override the package version folded into cache keys (test
         seam for invalidation-on-upgrade).
@@ -126,8 +108,6 @@ class Engine:
         cache_ttl: float | None = None,
         workers: int | None = None,
         monitor=None,
-        backend=None,
-        dtype=None,
         version: str | None = None,
     ) -> None:
         if cache is not None and cache_dir is not None:
@@ -139,25 +119,9 @@ class Engine:
         )
         self.workers = workers
         self.monitor = monitor
-        self.backend = get_backend(backend)
-        self.dtype = resolve_dtype(dtype)
         self.version = version
         self.stats_ = EngineStats()
         self._compiled: dict[int, tuple[object, CompiledModel]] = {}
-
-    def _fold_backend_options(self, key_options: dict) -> dict:
-        """Fold non-default backend/dtype into a cache-key option dict.
-
-        The default (NumPy, float64) keys exactly like the
-        pre-abstraction layout, so existing disk caches stay warm; any
-        other pair addresses its own entry and an environment change
-        never serves an artifact produced under different numerics.
-        """
-        if self.backend.name != "numpy":
-            key_options["backend"] = self.backend.name
-        if not self.dtype.is_default:
-            key_options["dtype"] = self.dtype.name
-        return key_options
 
     # ------------------------------------------------------------------
     # reduction (cache-aware)
@@ -183,7 +147,7 @@ class Engine:
                 f"choose one of {', '.join(_REDUCERS)}"
             )
         started = time.perf_counter()
-        key_options = self._fold_backend_options({"shift": shift, **options})
+        key_options = {"shift": shift, **options}
         if engine in ("sympvl", "sypvl"):
             # key on the *effective* factorization backend so an
             # explicit factor_method and an equivalent REPRO_FACTORIZATION
@@ -270,12 +234,12 @@ class Engine:
         from repro.fitting import enforce_model_passivity, fit_touchstone
 
         started = time.perf_counter()
-        key_options = self._fold_backend_options({
+        key_options = {
             "num_poles": num_poles,
             "domain": domain,
             "enforce_passivity": bool(enforce_passivity),
             **options,
-        })
+        }
         key = fitting_key(data, options=key_options, version=self.version)
         if use_cache:
             cached = self.cache.get(key)
@@ -340,8 +304,6 @@ class Engine:
         workers: int | None = None,
         chunk: int = DEFAULT_CHUNK,
         label: str = "",
-        backend=None,
-        dtype=None,
     ) -> FrequencyResponse:
         """Frequency sweep of a model *or* an assembled system.
 
@@ -349,14 +311,6 @@ class Engine:
         ``G``) runs the exact reference path, fanned out over the
         process pool; a reduced model is compiled once and evaluated as
         a batched broadcast sum.
-
-        Compiled sweeps honor ``backend`` / ``dtype`` (per-call
-        overrides of the engine defaults).  A ``float32`` policy is
-        probe-gated by :func:`~repro.engine.sweep.verify_precision`
-        once per call and the sweep falls back to float64 on rejection,
-        counted in :meth:`stats` as ``precision_checks`` /
-        ``precision_rejections``; the exact reference path is always
-        float64.
         """
         started = time.perf_counter()
         s_values = np.atleast_1d(np.asarray(s_values)).ravel()
@@ -372,24 +326,8 @@ class Engine:
             self.stats_.exact_points += s_values.size
         else:
             compiled = self.compile(target)
-            xp = get_backend(backend) if backend is not None else self.backend
-            policy = resolve_dtype(dtype) if dtype is not None else self.dtype
-            generic = xp.name != "numpy" or not policy.is_default
-            if generic and not policy.is_default:
-                self.stats_.precision_checks += 1
-                accepted, _ = verify_precision(
-                    compiled, s_values, backend=xp, dtype=policy,
-                    monitor=self.monitor,
-                )
-                if not accepted:
-                    self.stats_.precision_rejections += 1
-                    policy = resolve_dtype("float64")
             response = compiled_sweep(
-                compiled, s_values, chunk=chunk, label=label,
-                backend=xp if generic else None,
-                dtype=policy if generic else None,
-                monitor=self.monitor,
-                verify=False,  # gated above so the stats counters see it
+                compiled, s_values, chunk=chunk, label=label
             )
             self.stats_.compiled_points += s_values.size
             if compiled.is_spectral:
@@ -417,8 +355,6 @@ class Engine:
         return {
             **self.stats_.to_dict(),
             "workers": resolve_workers(self.workers),
-            "backend": self.backend.name,
-            "dtype": self.dtype.name,
             "cache": self.cache.describe(),
             "pool": engine_pool.describe(),
         }

@@ -26,16 +26,6 @@ Exact sweeps prefer the process-wide **persistent pool** of
 :mod:`repro.engine.pool` (warm workers, shared-memory operand
 transport); the ladder below it -- per-call pool, then serial -- is
 unchanged, and every tier produces bitwise-identical results.
-
-Compiled sweeps are backend/dtype-generic: :func:`compiled_sweep`
-accepts an :class:`~repro.backends.ArrayBackend` and a
-:class:`~repro.backends.DtypePolicy` and forwards them to
-:meth:`CompiledModel.impedance`.  A reduced-precision (``float32``)
-policy is never trusted blindly -- :func:`verify_precision` compares a
-small sample of the grid against the float64 reference first (the same
-probe-gate pattern that guards spectral compilation) and the sweep
-falls back to float64, recording an ``engine.precision``
-:class:`~repro.robustness.health.HealthMonitor` event either way.
 """
 
 from __future__ import annotations
@@ -55,7 +45,6 @@ __all__ = [
     "parallel_ac_kernel",
     "parallel_ac_sweep",
     "resolve_workers",
-    "verify_precision",
 ]
 
 #: default frequency-batch size for compiled evaluation (bounds the
@@ -65,13 +54,6 @@ DEFAULT_CHUNK = 4096
 #: below this many points per worker, process spawn cost dominates and
 #: the sweep runs serially
 MIN_POINTS_PER_WORKER = 16
-
-#: max relative error a reduced-precision sweep may show against the
-#: float64 reference on the probe sample before it is rejected
-PRECISION_PROBE_TOL = 1.0e-5
-
-#: how many grid points the precision probe compares (spread evenly)
-PRECISION_PROBE_POINTS = 8
 
 
 def _cpu_limit() -> int:
@@ -150,117 +132,17 @@ def batched_eval(
     return np.concatenate(parts, axis=0)
 
 
-def verify_precision(
-    compiled,
-    s_values: np.ndarray,
-    *,
-    backend=None,
-    dtype="float32",
-    tol: float = PRECISION_PROBE_TOL,
-    samples: int = PRECISION_PROBE_POINTS,
-    monitor=None,
-) -> tuple[bool, float]:
-    """Probe-gate a reduced-precision sweep against the float64 path.
-
-    Picks up to ``2 * samples`` probe points over ``s_values``: half
-    spread evenly, half *peak-seeking* -- a full-grid reduced-precision
-    scan locates the largest-|Z| points, because cancellation error in
-    the complex64 pole denominators is worst exactly at resonance
-    peaks (needle-sharp on lightly-damped circuits), which an even
-    sample walks right past.  The scan costs one pass at the cheap
-    precision -- the same work the sweep itself is about to do -- so
-    verification overhead is bounded by ~1x the reduced-precision
-    sweep, still well under a float64 pass.  The probe points are then
-    evaluated both at the requested ``(backend, dtype)`` and on the
-    float64 NumPy reference, and the downgrade is accepted only when
-    the max relative mismatch stays within ``tol``.  Returns
-    ``(accepted, error)`` and records an ``engine.precision`` event on
-    ``monitor`` for the downgrade *and* the rejection case, so serving
-    at reduced precision is always observable.
-    """
-    from repro.backends import get_backend, resolve_dtype
-
-    xp = get_backend(backend)
-    policy = resolve_dtype(dtype)
-    s_values = np.atleast_1d(np.asarray(s_values)).ravel()
-    if policy.is_default or s_values.size == 0:
-        return True, 0.0
-    take = min(max(1, int(samples)), s_values.size)
-    even = np.unique(
-        np.linspace(0, s_values.size - 1, take).round().astype(int)
-    )
-    scan = np.asarray(
-        compiled.impedance(s_values, backend=xp, dtype=policy)
-    )
-    magnitudes = np.abs(scan).reshape(s_values.size, -1).max(axis=1)
-    peaks = np.argsort(magnitudes)[-take:]
-    index = np.unique(np.concatenate([even, peaks]))
-    sample = s_values[index]
-    reference = np.asarray(compiled.impedance(sample))
-    probed = np.asarray(
-        compiled.impedance(sample, backend=xp, dtype=policy)
-    )
-    scale = float(np.abs(reference).max())
-    if scale == 0.0:
-        error = float(np.abs(probed).max())
-    else:
-        error = float(np.abs(probed - reference).max() / scale)
-    accepted = bool(np.isfinite(error) and error <= tol)
-    if monitor is not None:
-        monitor.record(
-            "engine.precision",
-            action="downgrade" if accepted else "reject",
-            accepted=accepted,
-            backend=xp.name,
-            dtype=policy.name,
-            error=error,
-            tol=tol,
-            probe_points=int(sample.size),
-        )
-    return accepted, error
-
-
 def compiled_sweep(
     compiled,
     s_values: np.ndarray,
     *,
     chunk: int = DEFAULT_CHUNK,
     label: str = "",
-    backend=None,
-    dtype=None,
-    monitor=None,
-    verify: bool = True,
 ) -> FrequencyResponse:
     """Sweep a :class:`~repro.engine.compiled.CompiledModel` over
-    ``s_values`` in batches; drop-in comparable with ``ac_sweep``.
-
-    ``backend`` / ``dtype`` route evaluation through the array-backend
-    layer (``docs/BACKENDS.md``); with a ``float32`` policy and
-    ``verify=True`` the grid is probe-gated by
-    :func:`verify_precision` first and silently served at float64 when
-    the model does not tolerate the downgrade (the ``engine.precision``
-    event on ``monitor`` is the audit trail).
-    """
-    from repro.backends import FLOAT64, get_backend, resolve_dtype
-
+    ``s_values`` in batches; drop-in comparable with ``ac_sweep``."""
     s_values = np.atleast_1d(np.asarray(s_values)).ravel()
-    generic = backend is not None or dtype is not None
-    if generic:
-        xp = get_backend(backend)
-        policy = resolve_dtype(dtype)
-        if verify and not policy.is_default:
-            accepted, _ = verify_precision(
-                compiled, s_values, backend=xp, dtype=policy,
-                monitor=monitor,
-            )
-            if not accepted:
-                policy = FLOAT64
-
-        def evaluate(values):
-            return compiled.impedance(values, backend=xp, dtype=policy)
-    else:
-        evaluate = compiled.impedance
-    z = batched_eval(evaluate, s_values, chunk=chunk)
+    z = batched_eval(compiled.impedance, s_values, chunk=chunk)
     return FrequencyResponse(
         s=s_values,
         z=z,

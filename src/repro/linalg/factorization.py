@@ -10,14 +10,12 @@ Positive-definite ``G`` (RC/RL/LC circuit classes, paper section 2.2)
 gets a Cholesky factor and ``J = I``; indefinite ``G`` (general RLC MNA)
 gets a Bunch-Kaufman ``L J L^T`` with 1x1/2x2 blocks in ``J``.
 
-Two compiled sparse tiers cover sparse ``G`` up to post-layout scale
+A compiled sparse tier covers sparse ``G`` up to post-layout scale
 (10^5-10^6 unknowns, see ``docs/SCALING.md``): a SuperLU symmetric-mode
 ``L D L^T`` (:class:`SuperLUFactorization`, works for definite *and*
-diagonally-pivotable indefinite matrices) and an optional CHOLMOD
-supernodal Cholesky (:class:`CholmodFactorization`, needs the
-``scikit-sparse`` extra).  All backends take matrix (multi-column)
-right-hand sides so the blocked Lanczos loop does one triangular pass
-per block.
+diagonally-pivotable indefinite matrices).  All methods take matrix
+(multi-column) right-hand sides so the blocked Lanczos loop does one
+triangular pass per block.
 
 ``factor_symmetric(method="auto")`` routes by density: a ``G`` with at
 least ``_DENSE_FILL`` of its entries stored (the PEEC ``G`` is full) goes
@@ -50,9 +48,7 @@ __all__ = [
     "DenseCholeskyFactorization",
     "LDLTDenseFactorization",
     "SuperLUFactorization",
-    "CholmodFactorization",
     "FACTORIZATION_METHODS",
-    "cholmod_available",
     "factor_symmetric",
     "resolve_factor_method",
 ]
@@ -77,7 +73,6 @@ FACTORIZATION_METHODS = (
     "ldlt",
     "ldlt-python",
     "superlu",
-    "cholmod",
 )
 
 
@@ -534,101 +529,6 @@ class SuperLUFactorization(SymmetricFactorization):
         return self.apply_j(x)
 
 
-def _cholmod_module():
-    """The ``sksparse.cholmod`` module, or ``None`` when not installed."""
-    try:
-        from sksparse import cholmod  # soft dependency (repro[cholmod])
-    except ImportError:
-        return None
-    return cholmod
-
-
-def cholmod_available() -> bool:
-    """True when the optional scikit-sparse CHOLMOD backend can be used."""
-    return _cholmod_module() is not None
-
-
-class CholmodFactorization(SymmetricFactorization):
-    """``G = (P^T L)(P^T L)^T`` via CHOLMOD supernodal Cholesky.
-
-    Optional backend on top of ``scikit-sparse`` (install the
-    ``repro[cholmod]`` extra); for very large SPD systems its supernodal
-    BLAS-3 factorization and AMD/NESDIS orderings typically beat
-    SuperLU's simplicial path.  Only definite matrices are accepted
-    (``J = I``); indefinite input raises :class:`FactorizationError`
-    so ``factor_symmetric`` falls through to SuperLU.
-    """
-
-    def __init__(
-        self, g: sp.spmatrix | np.ndarray, *, monitor=None
-    ):  # pragma: no cover - exercised only when scikit-sparse is present
-        cholmod = _cholmod_module()
-        if cholmod is None:
-            raise FactorizationError(
-                "the 'cholmod' backend needs scikit-sparse; install the "
-                "repro[cholmod] extra or use method='superlu' instead"
-            )
-        csc = _as_csc(g)
-        n = csc.shape[0]
-        try:
-            factor = cholmod.cholesky(csc)
-            # force the LL^T view now so indefiniteness surfaces here
-            lower = factor.L()
-        except cholmod.CholmodNotPositiveDefiniteError as exc:
-            if monitor is not None:
-                monitor.record(
-                    "factor.failure", method="cholmod", reason="indefinite"
-                )
-            raise FactorizationError(
-                f"CHOLMOD: matrix is not positive definite ({exc}); "
-                "use the superlu or ldlt backends for indefinite systems"
-            ) from exc
-        del lower
-        self._factor = factor
-        self._perm = np.asarray(factor.P(), dtype=np.intp)
-        self._inverse_perm = np.empty(n, dtype=np.intp)
-        self._inverse_perm[self._perm] = np.arange(n, dtype=np.intp)
-        self._n = n
-
-    @property
-    def size(self) -> int:
-        return self._n
-
-    @property
-    def j_is_identity(self) -> bool:
-        return True
-
-    @property
-    def method(self) -> str:
-        return "cholmod"
-
-    def solve_m(
-        self, b: np.ndarray
-    ) -> np.ndarray:  # pragma: no cover - needs scikit-sparse
-        # M = P^T L  =>  M x = b  <=>  L x = P b
-        return np.asarray(
-            self._factor.solve_L(
-                np.asarray(b)[self._perm], use_LDLt_decomposition=False
-            )
-        )
-
-    def solve_mt(
-        self, b: np.ndarray
-    ) -> np.ndarray:  # pragma: no cover - needs scikit-sparse
-        y = np.asarray(
-            self._factor.solve_Lt(
-                np.asarray(b), use_LDLt_decomposition=False
-            )
-        )
-        return y[self._inverse_perm]
-
-    def apply_j(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x)
-
-    def solve_j(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x)
-
-
 def _blocks_from_dense(d: np.ndarray) -> BlockDiagonal:
     """Extract the 1x1/2x2 block structure from a block-diagonal array."""
     below, above = np.diagonal(d, -1), np.diagonal(d, 1)
@@ -657,9 +557,8 @@ def factor_symmetric(
         up-looking), ``"dense-cholesky"`` (LAPACK ``potrf``), ``"ldlt"``
         (LAPACK Bunch-Kaufman), ``"ldlt-python"``
         (from-scratch Bunch-Kaufman), ``"superlu"`` (compiled sparse
-        ``L D L^T``, definite or diagonally-pivotable indefinite), or
-        ``"cholmod"`` (supernodal Cholesky; needs the ``repro[cholmod]``
-        extra).  ``"auto"`` honours the ``REPRO_FACTORIZATION``
+        ``L D L^T``, definite or diagonally-pivotable indefinite).
+        ``"auto"`` honours the ``REPRO_FACTORIZATION``
         environment variable (see :func:`resolve_factor_method`).
     assume_definite:
         Hint used by ``"auto"``: ``False`` skips the Cholesky attempts
@@ -684,14 +583,9 @@ def factor_symmetric(
     n = g.shape[0]
 
     def sparse_alternatives() -> str:
-        cholmod_note = (
-            "'cholmod'"
-            if cholmod_available()
-            else "'cholmod' (needs the repro[cholmod] extra)"
-        )
         return (
-            f"pick a sparse backend instead: method='superlu' (any "
-            f"diagonally-pivotable symmetric matrix), {cholmod_note}, or "
+            "pick a sparse method instead: method='superlu' (any "
+            "diagonally-pivotable symmetric matrix) or "
             "'sparse-cholesky' (definite only) -- via the method= "
             f"argument, the {_ENV_VAR} environment variable, or the "
             "--factorization CLI flag"
@@ -731,8 +625,6 @@ def factor_symmetric(
         )
     if method == "superlu":
         return done(SuperLUFactorization(g, monitor=monitor))
-    if method == "cholmod":
-        return done(CholmodFactorization(g, monitor=monitor))
     if method != "auto":
         origin = (
             f" (from the {_ENV_VAR} environment variable)"
@@ -751,14 +643,10 @@ def factor_symmetric(
     dense = not is_sparse or (
         n <= _DENSE_LIMIT and g.nnz >= _DENSE_FILL * n * n
     )
-    if assume_definite is not False and (dense or cholmod_available()):
+    if assume_definite is not False and dense:
         try:
-            if dense:
-                return done(
-                    DenseCholeskyFactorization(to_dense(), monitor=monitor)
-                )
-            return done(  # pragma: no cover - optional dep
-                CholmodFactorization(g, monitor=monitor)
+            return done(
+                DenseCholeskyFactorization(to_dense(), monitor=monitor)
             )
         except FactorizationError:
             if assume_definite is True:

@@ -14,9 +14,8 @@ optional everywhere; the hot paths pay nothing when it is ``None``):
 * ``recovery.*`` / ``fault.*`` -- recovery attempts and injected faults
   (written by :mod:`repro.robustness.recovery` and
   :mod:`repro.robustness.faultinject`);
-* ``engine.*`` -- cache activity, compile fallbacks, process-pool
-  sweep fallbacks, and reduced-precision probe verdicts
-  (``engine.precision``, written by :mod:`repro.engine`);
+* ``engine.*`` -- cache activity, compile fallbacks and process-pool
+  sweep fallbacks (written by :mod:`repro.engine`);
 * ``service.*`` -- degradation-tier switches, breaker transitions, and
   shed/retry decisions of the serving runtime
   (written by :mod:`repro.service`).
@@ -146,7 +145,6 @@ class ReductionHealth:
     faults_triggered: list[dict] = field(default_factory=list)
     recovery_failures: int = 0
     sweep_fallbacks: int = 0
-    precision_events: list[dict] = field(default_factory=list)
     service_degradations: list[dict] = field(default_factory=list)
     events: list[HealthEvent] = field(default_factory=list)
 
@@ -193,8 +191,6 @@ class ReductionHealth:
                 health.recovery_failures += 1
             elif event.category == "engine.sweep":
                 health.sweep_fallbacks += 1
-            elif event.category == "engine.precision":
-                health.precision_events.append(dict(data))
             elif event.category == "service.degrade":
                 health.service_degradations.append(dict(data))
 
@@ -228,7 +224,6 @@ class ReductionHealth:
             "faults_triggered": _jsonify(self.faults_triggered),
             "recovery_failures": self.recovery_failures,
             "sweep_fallbacks": self.sweep_fallbacks,
-            "precision_events": _jsonify(self.precision_events),
             "service_degradations": _jsonify(self.service_degradations),
         }
         if include_events:

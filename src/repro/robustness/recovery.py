@@ -212,14 +212,13 @@ class FactorizationFallbackPolicy(RecoveryPolicy):
     its internal ladder, so this policy stays silent and the shift
     repair takes over.
 
-    The ladder is ``cholmod -> superlu -> sparse-cholesky -> ldlt ->
-    auto``, filtered by availability (CHOLMOD needs scikit-sparse) and
-    by the dense-size limit for the LDLT fallback.
+    The ladder is ``superlu -> sparse-cholesky -> ldlt -> auto``,
+    filtered by the dense-size limit for the LDLT fallback.
     """
 
     name = "factorization-fallback"
 
-    _LADDER = ("cholmod", "superlu", "sparse-cholesky", "ldlt", "auto")
+    _LADDER = ("superlu", "sparse-cholesky", "ldlt", "auto")
 
     def __init__(self):
         self.tried: set[str] = set()
@@ -232,7 +231,6 @@ class FactorizationFallbackPolicy(RecoveryPolicy):
     def propose(self, spec, exc, context):
         from repro.linalg.factorization import (
             _DENSE_LIMIT,
-            cholmod_available,
             resolve_factor_method,
         )
 
@@ -247,8 +245,6 @@ class FactorizationFallbackPolicy(RecoveryPolicy):
         size = context.system.size
         for candidate in self._LADDER:
             if candidate in self.tried:
-                continue
-            if candidate == "cholmod" and not cholmod_available():
                 continue
             if (
                 candidate in ("ldlt", "ldlt-python", "dense-cholesky")

@@ -57,10 +57,6 @@ class ServiceConfig:
     cache_max_bytes: int | None = None
     cache_ttl: float | None = None
     workers: int | None = None  # process-pool width for exact sweeps
-    backend: str | None = None  # array backend for compiled sweeps
-    #                             (None defers to REPRO_BACKEND, then numpy)
-    dtype: str | None = None    # evaluation precision ("float64"/"float32";
-    #                             None defers to REPRO_DTYPE, then float64)
     # resilience --------------------------------------------------------
     retry: RetryConfig = field(default_factory=RetryConfig)
     breaker: BreakerConfig = field(default_factory=BreakerConfig)

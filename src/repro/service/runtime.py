@@ -126,8 +126,6 @@ class MacromodelService:
                 cache_ttl=self.config.cache_ttl,
                 workers=self.config.workers,
                 monitor=self.monitor,
-                backend=self.config.backend,
-                dtype=self.config.dtype,
             )
         self.faults = fault_plan
         if self.faults is not None:

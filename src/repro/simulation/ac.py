@@ -11,12 +11,6 @@ on their union sparsity pattern, so each frequency point assembles
 structure rebuild).  Passing ``workers > 1`` (or setting
 ``REPRO_WORKERS``) fans the grid out over the process pool of
 :mod:`repro.engine.sweep`.
-
-The factorization itself always runs at full precision (sparse LU is
-where accuracy is won or lost); the ``dtype`` parameter only selects
-the precision of the *post-factorization* result arrays, so a
-``float32`` serving pipeline (``docs/BACKENDS.md``) gets complex64
-outputs without touching the solve.
 """
 
 from __future__ import annotations
@@ -116,7 +110,6 @@ def ac_kernel_prepared(
     operands: AcOperands,
     sigma_values: np.ndarray,
     *,
-    out_dtype=complex,
     factor_cache=None,
 ) -> np.ndarray:
     """The exact per-point solve loop over prepared operands.
@@ -133,7 +126,7 @@ def ac_kernel_prepared(
     sigma_values = np.atleast_1d(np.asarray(sigma_values))
     g, c, b = operands.g, operands.c, operands.b
     p = b.shape[1]
-    out = np.empty((sigma_values.size, p, p), dtype=out_dtype)
+    out = np.empty((sigma_values.size, p, p), dtype=complex)
     for k, sigma in enumerate(sigma_values.ravel()):
         key = complex(sigma)
         lu = factor_cache.get(key) if factor_cache is not None else None
@@ -164,32 +157,20 @@ def ac_kernel(
     sigma_values: np.ndarray,
     *,
     workers: int | None = None,
-    dtype=None,
 ) -> np.ndarray:
     """Exact kernel ``H(sigma) = B^T (G + sigma C)^{-1} B`` per point.
 
     Returns shape ``(m, p, p)``; raises on a singular system matrix
     (a frequency landing exactly on a pole).  ``workers > 1`` re-splits
     the grid over a process pool (results are independent of the worker
-    count; small grids stay serial).  ``dtype`` selects the output
-    precision (a :class:`~repro.backends.DtypePolicy` or name); the LU
-    solves stay complex128 regardless.
+    count; small grids stay serial).
     """
-    from repro.backends import resolve_dtype
-
-    policy = resolve_dtype(dtype) if dtype is not None else None
     sigma_values = np.atleast_1d(np.asarray(sigma_values))
     if workers is not None and workers > 1:
         from repro.engine.sweep import parallel_ac_kernel
 
-        kernel = parallel_ac_kernel(system, sigma_values, workers=workers)
-        if policy is not None and not policy.is_default:
-            kernel = kernel.astype(policy.complex)
-        return kernel
-    out_dtype = complex if policy is None else policy.complex
-    return ac_kernel_prepared(
-        prepare_ac_operands(system), sigma_values, out_dtype=out_dtype
-    )
+        return parallel_ac_kernel(system, sigma_values, workers=workers)
+    return ac_kernel_prepared(prepare_ac_operands(system), sigma_values)
 
 
 def ac_sweep(
@@ -198,24 +179,20 @@ def ac_sweep(
     *,
     label: str = "exact",
     workers: int | None = None,
-    dtype=None,
 ) -> FrequencyResponse:
     """Exact physical impedance ``Z(s)`` over ``s_values``.
 
     The transfer map converts ``s`` to the kernel variable (``s**2``
     for LC circuits) and applies the prefactor, mirroring
-    :meth:`repro.core.ReducedOrderModel.impedance`.  ``dtype`` selects
-    the output precision (the solves stay complex128).
+    :meth:`repro.core.ReducedOrderModel.impedance`.
     """
     s_values = np.atleast_1d(np.asarray(s_values))
     kernel = ac_kernel(
-        system, system.transfer.sigma(s_values), workers=workers, dtype=dtype
+        system, system.transfer.sigma(s_values), workers=workers
     )
     pref = np.atleast_1d(np.asarray(system.transfer.prefactor(s_values)))
     if pref.size == 1:
         pref = np.full(s_values.size, pref.ravel()[0])
-    # match the kernel dtype so a complex64 kernel is not silently
-    # promoted back to complex128 by the float64 prefactor
     z = kernel * pref[:, None, None].astype(kernel.dtype)
     return FrequencyResponse(
         s=s_values, z=z, port_names=list(system.port_names), label=label

@@ -16,15 +16,6 @@ sparse LU for the whole run).  Three front-ends share the integrator:
 * :func:`transient_netlist` -- general netlist simulation including
   voltage sources (MNA extension rows), for drive circuitry that the
   symmetric reduction formulation itself excludes.
-
-The port-drive front-ends are dtype/backend-generic in the same sense
-as the AC sweeps (``docs/BACKENDS.md``): ``dtype`` selects the
-precision of the state history and the recorded outputs (the reduced
-dense integrator then factors and steps natively at that precision,
-while the sparse LU of the full system always stays float64), and
-``backend`` routes the post-integration output projection ``x @ B``
-through an :class:`~repro.backends.ArrayBackend`.  Defaults reproduce
-the float64 NumPy results bit for bit.
 """
 
 from __future__ import annotations
@@ -52,31 +43,6 @@ __all__ = [
 ]
 
 _METHODS = ("trapezoidal", "backward-euler")
-
-
-def _resolve_policy(dtype):
-    """``None`` for the default float64 path, else the reduced policy."""
-    if dtype is None:
-        return None
-    from repro.backends import resolve_dtype
-
-    policy = resolve_dtype(dtype)
-    return None if policy.is_default else policy
-
-
-def _project_outputs(x: np.ndarray, columns, backend):
-    """Output projection ``x @ columns``, optionally on a backend."""
-    if backend is None:
-        return x @ columns
-    from repro.backends import get_backend
-
-    xp = get_backend(backend)
-    dtype = np.result_type(x.dtype, np.asarray(columns).dtype).name
-    product = xp.matmul(
-        xp.asarray(x, dtype=dtype), xp.asarray(columns, dtype=dtype)
-    )
-    xp.synchronize()
-    return xp.to_numpy(product)
 
 
 def _check_grid(t: np.ndarray) -> float:
@@ -151,8 +117,6 @@ def _integrate_sparse(
         be_lhs = spla.splu((c / h + g).tocsc())
         be_rhs = (c / h).tocsr()
     m = t.size
-    # the state history inherits the rhs/x0 precision (float64 default;
-    # float32 when a reduced dtype policy cast the inputs upstream)
     x = np.empty((m, x0.size), dtype=np.result_type(rhs.dtype, x0.dtype))
     x[0] = x0
     for k in range(m - 1):
@@ -192,8 +156,6 @@ def _integrate_dense(
     if method == "trapezoidal":
         be_piv = scipy.linalg.lu_factor(c / h + g)
     m = t.size
-    # float32 inputs factor and step natively in single precision
-    # (LAPACK sgetrf/sgetrs); the default float64 path is unchanged
     x = np.empty((m, x0.size), dtype=np.result_type(rhs.dtype, x0.dtype))
     x[0] = x0
     for k in range(m - 1):
@@ -232,8 +194,6 @@ def transient_ports(
     *,
     method: str = "trapezoidal",
     label: str = "",
-    backend=None,
-    dtype=None,
 ) -> TransientResult:
     """Integrate an assembled MNA system with current drive at the ports.
 
@@ -241,10 +201,6 @@ def transient_ports(
     (``"rc"`` and ``"mna"``); the transformed RL/LC systems are
     frequency-domain artifacts -- re-assemble with
     ``assemble_mna(net, "mna")`` to simulate those circuits.
-
-    ``dtype`` selects the state/output precision (the sparse LU stays
-    float64); ``backend`` routes the output projection through the
-    array-backend layer.
 
     Returns the port voltages ``B^T x(t)`` and wall-clock statistics in
     ``result.stats`` (used by the Figure-5 CPU-time comparison).
@@ -254,21 +210,15 @@ def transient_ports(
             f'formulation "{system.formulation}" is not a time-domain form; '
             'assemble with formulation="mna" for transient analysis'
         )
-    policy = _resolve_policy(dtype)
     t = np.asarray(t, dtype=float)
     waveforms = _resolve_drives(list(system.port_names), drives)
     currents = np.column_stack([np.asarray(w(t), dtype=float) for w in waveforms])
     rhs = currents @ system.B.T
     started = time.perf_counter()
     x0 = _dc_initial_sparse(system.G, rhs[0])
-    if policy is not None:
-        rhs = rhs.astype(policy.real)
-        x0 = x0.astype(policy.real)
     x = _integrate_sparse(system.G, system.C, rhs, t, method, x0)
     elapsed = time.perf_counter() - started
-    outputs = _project_outputs(x, system.B, backend)
-    if policy is not None:
-        outputs = np.asarray(outputs, dtype=policy.real)
+    outputs = x @ system.B
     return TransientResult(
         t=t,
         outputs=outputs,
@@ -285,36 +235,21 @@ def transient_reduced(
     *,
     method: str = "trapezoidal",
     label: str = "",
-    backend=None,
-    dtype=None,
 ) -> TransientResult:
-    """Integrate the reduced DAE of eq. (23) under port current drive.
-
-    With a ``float32`` ``dtype`` policy the reduced dense DAE is
-    factored and stepped natively in single precision (it is small --
-    that is the point of the reduction); ``backend`` routes the output
-    projection through the array-backend layer.
-    """
+    """Integrate the reduced DAE of eq. (23) under port current drive."""
     state_space = model.to_state_space()
-    policy = _resolve_policy(dtype)
     t = np.asarray(t, dtype=float)
     waveforms = _resolve_drives(list(model.port_names), drives)
     currents = np.column_stack([np.asarray(w(t), dtype=float) for w in waveforms])
     rhs = currents @ state_space.br.T
     gr, cr = state_space.gr, state_space.cr
-    if policy is not None:
-        gr = gr.astype(policy.real)
-        cr = cr.astype(policy.real)
-        rhs = rhs.astype(policy.real)
     started = time.perf_counter()
     x0 = _dc_initial_dense(gr, rhs[0])
     x = _integrate_dense(gr, cr, rhs, t, method, x0)
     elapsed = time.perf_counter() - started
-    outputs = _project_outputs(x, state_space.lr, backend)
+    outputs = x @ state_space.lr
     if state_space.d is not None:
         outputs = outputs + currents @ state_space.d.T
-    if policy is not None:
-        outputs = np.asarray(outputs, dtype=policy.real)
     return TransientResult(
         t=t,
         outputs=outputs,

@@ -117,6 +117,47 @@ class TestEngineMemoryCache:
         assert engine.cache.stats.hits == 0
 
 
+#: the default-options key of the damped bus below; pinned so that disk
+#: caches written by earlier releases stay warm
+GOLDEN_KEY = "3b5731ce90af9d2a25a218a291abfb89fd7fa19140a46ae4f13cfafb4a1d9655"
+
+
+def damped_bus():
+    return repro.assemble_mna(
+        repro.coupled_rc_bus(3, n_segments=10, driver_resistance=100.0)
+    )
+
+
+class TestGoldenKey:
+    def test_default_reduction_key_is_stable(self):
+        system = damped_bus()
+        engine = Engine(version="golden")
+        engine.reduce(system, 12)
+        assert list(engine.cache._entries) == [GOLDEN_KEY]
+        assert reduction_key(
+            system, engine="sympvl", order=12,
+            options={"shift": "auto"}, version="golden",
+        ) == GOLDEN_KEY
+
+    def test_stale_backend_env_vars_are_inert(self, monkeypatch):
+        """``REPRO_BACKEND`` / ``REPRO_DTYPE`` left in an environment
+        change nothing: same key, complex128 output, bitwise-equal values."""
+        system = damped_bus()
+        s = 1j * np.logspace(6, 10, 41)
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        clean = Engine(version="golden")
+        reference = clean.sweep(clean.reduce(system, 12), s).z
+
+        monkeypatch.setenv("REPRO_BACKEND", "torch")
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        engine = Engine(version="golden")
+        z = engine.sweep(engine.reduce(system, 12), s).z
+        assert list(engine.cache._entries) == [GOLDEN_KEY]
+        assert z.dtype == np.complex128
+        assert np.array_equal(z, reference)
+
+
 class TestDiskCache:
     def test_survives_fresh_engine(self, tmp_path):
         system = ladder_system()

@@ -46,6 +46,14 @@ class TestEngineSession:
             exact.z, repro.ac_sweep(rc_two_port_system, s).z, rtol=1e-12
         )
 
+    def test_default_path_bit_identical(self, rc_two_port_system):
+        """A compiled engine sweep is the compiled impedance, bit for bit."""
+        engine = Engine()
+        model = engine.reduce(rc_two_port_system, 8)
+        s = 1j * np.logspace(7, 10, 25)
+        compiled = engine.compile(model)
+        assert np.array_equal(engine.sweep(model, s).z, compiled.impedance(s))
+
     def test_compile_memoized_per_instance(self, rc_two_port_system):
         engine = Engine()
         model = engine.reduce(rc_two_port_system, 8)

@@ -157,6 +157,60 @@ class TestBatchedEval:
         assert "compiled" in resp.label
 
 
+class TestTinySweeps:
+    def test_batched_eval_clamps_nonpositive_chunk(self):
+        calls = []
+
+        def evaluate(v):
+            calls.append(v.size)
+            return v * 2.0
+
+        out = batched_eval(evaluate, np.arange(5.0), chunk=0)
+        assert np.array_equal(out, np.arange(5.0) * 2.0)
+        assert all(size >= 1 for size in calls)  # never an empty batch
+
+        calls.clear()
+        out = batched_eval(evaluate, np.arange(5.0), chunk=-3)
+        assert np.array_equal(out, np.arange(5.0) * 2.0)
+
+    def test_batched_eval_small_grid_single_call(self):
+        calls = []
+
+        def evaluate(v):
+            calls.append(v.size)
+            return v
+
+        batched_eval(evaluate, np.arange(7.0), chunk=4096)
+        assert calls == [7]
+
+    def test_batched_eval_chunk_boundaries(self):
+        def evaluate(v):
+            return v + 1.0
+
+        for n in (1, 3, 4, 5, 8, 9):
+            out = batched_eval(evaluate, np.arange(float(n)), chunk=4)
+            assert np.array_equal(out, np.arange(float(n)) + 1.0)
+
+    def test_parallel_kernel_tiny_grid_stays_serial(self, monkeypatch):
+        system = repro.assemble_mna(repro.rc_ladder(10, port_at_far_end=True))
+        sigma = np.array([1e7, 1e8, 1e9])
+        out = parallel_ac_kernel(system, sigma, workers=4)
+        assert np.allclose(out, ac_kernel(system, sigma))
+
+    def test_parallel_kernel_nonpositive_min_points(self):
+        """min_points_per_worker <= 0 must clamp, not divide by zero."""
+        system = repro.assemble_mna(repro.rc_ladder(10, port_at_far_end=True))
+        sigma = np.array([1e8, 1e9])
+        out = parallel_ac_kernel(
+            system, sigma, workers=1, min_points_per_worker=0
+        )
+        assert np.allclose(out, ac_kernel(system, sigma))
+        out = parallel_ac_kernel(
+            system, sigma, workers=1, min_points_per_worker=-5
+        )
+        assert np.allclose(out, ac_kernel(system, sigma))
+
+
 class TestParallelExact:
     def test_small_grid_stays_serial(self, rc_two_port_system):
         """Below min_points_per_worker the pool is never spun up."""

@@ -9,7 +9,6 @@ from repro.errors import FactorizationError
 from repro.linalg.factorization import (
     FACTORIZATION_METHODS,
     SuperLUFactorization,
-    cholmod_available,
     factor_symmetric,
     resolve_factor_method,
 )
@@ -115,12 +114,12 @@ class TestAuto:
         # size; the definite case keeps J = I
         g = repro.assemble_mna(repro.rc_mesh(16, 16)).G + 1e-3 * sp.eye(256)
         fact = factor_symmetric(g.tocsc())
-        assert fact.method in ("superlu", "cholmod")
+        assert fact.method == "superlu"
         assert fact.j_is_identity
         small = grid_laplacian(6)  # 36 unknowns, density 0.13 -> dense
         assert factor_symmetric(small).method == "dense-cholesky"
         ladder = grid_laplacian(12)  # 144 unknowns, density 0.03
-        assert factor_symmetric(ladder).method in ("superlu", "cholmod")
+        assert factor_symmetric(ladder).method == "superlu"
 
     def test_dense_pattern_sparse_matrix_uses_lapack(self):
         # PEEC-like: stored sparse but fully populated, above the old
@@ -175,7 +174,7 @@ class TestAuto:
     def test_auto_prefers_scalable_tier_above_threshold(self):
         g = grid_laplacian(50)  # 2500 > _SCALABLE_LIMIT
         fact = factor_symmetric(g)
-        assert fact.method in ("superlu", "cholmod")
+        assert fact.method == "superlu"
 
     def test_env_override_changes_selection(self, monkeypatch):
         g = grid_laplacian(50)
@@ -184,9 +183,15 @@ class TestAuto:
         assert fact.method == "sparse-cholesky"
 
     def test_env_override_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FACTORIZATION", "bogus")
-        with pytest.raises(FactorizationError, match="REPRO_FACTORIZATION"):
-            factor_symmetric(spd_sparse(10))
+        # a method name that is no longer supported fails like any other
+        for name in ("bogus", "cholmod"):
+            monkeypatch.setenv("REPRO_FACTORIZATION", name)
+            with pytest.raises(
+                FactorizationError,
+                match=f"unknown factorization method '{name}' "
+                r"\(from the REPRO_FACTORIZATION environment variable\)",
+            ):
+                factor_symmetric(spd_sparse(10))
 
     def test_explicit_method_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FACTORIZATION", "superlu")
@@ -208,7 +213,7 @@ def grid_laplacian(k, shift=1e-3):
 
 class TestResolveFactorMethod:
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FACTORIZATION", "cholmod")
+        monkeypatch.setenv("REPRO_FACTORIZATION", "sparse-cholesky")
         assert resolve_factor_method("superlu") == "superlu"
 
     def test_auto_defers_to_env(self, monkeypatch):
@@ -221,7 +226,7 @@ class TestResolveFactorMethod:
         assert resolve_factor_method("auto") == "auto"
 
     def test_methods_tuple_covers_known_backends(self):
-        for name in ("superlu", "cholmod", "sparse-cholesky", "auto"):
+        for name in ("superlu", "sparse-cholesky", "auto"):
             assert name in FACTORIZATION_METHODS
 
 
@@ -278,37 +283,6 @@ class TestSuperLU:
         b = np.cos(np.arange(g.shape[0], dtype=float))
         x = fact.solve(b)
         assert np.linalg.norm(g @ x - b) < 1e-10 * np.linalg.norm(b)
-
-
-class TestCholmod:
-    def test_unavailable_raises_actionable_error(self):
-        if cholmod_available():
-            pytest.skip("scikit-sparse installed: unavailability not testable")
-        with pytest.raises(FactorizationError, match="scikit-sparse"):
-            factor_symmetric(spd_sparse(10), method="cholmod")
-
-    @pytest.mark.skipif(
-        not cholmod_available(), reason="needs scikit-sparse"
-    )
-    def test_definite_reconstruction_and_event(self):
-        monitor = HealthMonitor()
-        g = spd_sparse(40, seed=9)
-        fact = factor_symmetric(g, method="cholmod", monitor=monitor)
-        assert fact.method == "cholmod"
-        assert fact.j_is_identity
-        recon = reconstruct_g(fact, 40)
-        assert np.abs(recon - g.toarray()).max() < 1e-8 * np.abs(g.toarray()).max()
-        events = monitor.by_category("factor.method")
-        assert events and events[-1].data["method"] == "cholmod"
-
-    @pytest.mark.skipif(
-        not cholmod_available(), reason="needs scikit-sparse"
-    )
-    def test_indefinite_raises(self):
-        with pytest.raises(FactorizationError, match="positive definite"):
-            factor_symmetric(
-                indefinite_diag_dominant(30), method="cholmod"
-            )
 
 
 class TestPerMethodSingular:

@@ -141,8 +141,7 @@ class TestFactorizationFallbackPolicy:
         out = policy.propose(spec, err, ctx)
         assert out is not None
         assert out.policy == "factorization-fallback"
-        # superlu is marked tried, cholmod is unavailable here: the next
-        # rung is sparse-cholesky
+        # superlu is marked tried: the next rung is sparse-cholesky
         assert out.factor_method == "sparse-cholesky"
         again = policy.propose(out, err, ctx)
         assert again.factor_method == "ldlt"

@@ -2,8 +2,8 @@
 
 The CI job runs the lint over the real repo; this suite proves the
 lint itself works -- that a clean tree passes and, critically, that a
-deliberately planted broken link and a phantom subcommand are caught
-(a lint that can't fail is no lint at all).
+deliberately planted broken link, a phantom subcommand and a stale flag
+are caught (a lint that can't fail is no lint at all).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class TestRealRepo:
         names = {p.name for p in files}
         assert "README.md" in names
         assert "ARCHITECTURE.md" in names
-        assert "BACKENDS.md" in names
+        assert "SCALING.md" in names
 
     def test_cli_subcommands_discovered(self, lint):
         subs = lint.cli_subcommands(REPO_ROOT)
@@ -67,6 +67,29 @@ class TestFixtureTrees:
         )
         assert lint.main(["--root", str(tmp_path)]) == 1
         assert "frobnicate" in capsys.readouterr().err
+
+    def test_stale_flag_is_caught(self, lint, tmp_path, capsys):
+        (tmp_path / "README.md").write_text(
+            "```\nrepro sweep in.sp --order 8 --band 1e8 1e10 \\\n"
+            "    --backend numpy  # a flag the CLI no longer has\n```\n"
+            "and `repro serve --dtype float32` in a span.\n"
+        )
+        assert lint.main(["--root", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "'repro sweep' has no option '--backend'" in err
+        assert "'repro serve' has no option '--dtype'" in err
+
+    def test_nested_subcommand_flags_pass(self, lint, tmp_path, capsys):
+        (tmp_path / "README.md").write_text(
+            "```\nrepro touchstone export line.sp line.s2p \\\n"
+            "    --band 1e7 1e10 --points 80 --parameter Z\n```\n"
+            "`repro touchstone export --bogus` is not an option.\n"
+        )
+        assert lint.main(["--root", str(tmp_path)]) == 1
+        assert (
+            "'repro touchstone export' has no option '--bogus'"
+            in capsys.readouterr().err
+        )
 
     def test_exit_status_counts_problems(self, lint, tmp_path):
         (tmp_path / "README.md").write_text(
